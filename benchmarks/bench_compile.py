@@ -1,4 +1,4 @@
-"""E14 — compiled tape-replay pretraining throughput and bit-equality.
+"""E18 — compiled tape-replay pretraining throughput and bit-equality.
 
 Reruns the Fig. 2c workload (TURL, batch 8, the wiki corpus) with
 ``PretrainConfig(compile=True)``: the first step of each padded-batch
@@ -68,7 +68,7 @@ def test_compiled_throughput(benchmark, wiki_corpus, tokenizer, config):
     cores = os.cpu_count() or 1
 
     print_table(
-        "E14: compiled tape-replay pretraining (Fig. 2c workload, TURL)",
+        "E18: compiled tape-replay pretraining (Fig. 2c workload, TURL)",
         ["mode", "total s", "step ms", "speedup"],
         [["eager", f"{eager_s:.2f}",
           f"{eager_s / STEPS * 1e3:.1f}", "1.00x"],
@@ -122,7 +122,7 @@ def test_compiled_serving_latency(benchmark, wiki_corpus, tokenizer, config):
         experiment, rounds=1, iterations=1)
     ratio = eager_s / compiled_s if compiled_s > 0 else float("inf")
     print_table(
-        "E14: forward-only encoding, batch of 8 tables",
+        "E18: forward-only encoding, batch of 8 tables",
         ["mode", "total s (16 runs)", "per batch ms", "speedup"],
         [["eager", f"{eager_s:.3f}", f"{eager_s / 16 * 1e3:.2f}", "1.00x"],
          ["compiled", f"{compiled_s:.3f}",

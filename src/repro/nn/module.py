@@ -15,7 +15,7 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from .backend import DEFAULT_DTYPE
-from .tensor import Tensor, inference_mode
+from .tensor import Tensor, inference_mode, is_inference_mode
 
 __all__ = ["Parameter", "Module", "ModuleList", "InitMetadata"]
 
@@ -43,11 +43,21 @@ class InitMetadata:
 
 
 class Parameter(Tensor):
-    """A tensor registered as a trainable parameter of a module."""
+    """A tensor registered as a trainable parameter of a module.
+
+    ``version`` counts in-place writes to ``data``.  Anything that
+    writes ``param.data`` in place (``param.data -= ...``,
+    ``param.data[...] = ...``) must follow it with ``param.version += 1``;
+    rebinding ``param.data`` to a new array needs no bump.  Together,
+    the array's identity and this counter let
+    :func:`repro.serve.model_fingerprint` reuse its digest until a
+    weight actually changes.
+    """
 
     def __init__(self, data: np.ndarray) -> None:
         super().__init__(np.asarray(data, dtype=DEFAULT_DTYPE),
                          requires_grad=True)
+        self.version = 0
 
 
 class Module:
@@ -136,7 +146,15 @@ class Module:
         :class:`~repro.nn.tensor.inference_mode` so forward passes build
         no autograd tape, and restores the previous training mode on
         exit.  The standard wrapper around every ``predict`` path.
+
+        A nested entry on a module an enclosing scope already covers
+        (the module is in eval and inference mode is on, as an enclosing
+        ``inference()`` on it or an ancestor leaves it) yields at once:
+        no module walk going in or coming out.
         """
+        if not self.training and is_inference_mode():
+            yield self
+            return
         was_training = self.training
         self.eval()
         try:
@@ -167,6 +185,7 @@ class Module:
                     f"shape mismatch for {name}: saved {incoming.shape}, model {param.shape}"
                 )
             param.data[...] = incoming
+            param.version += 1
 
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):

@@ -108,6 +108,7 @@ class SGD(_Optimizer):
                 v *= self.momentum
                 v += p.grad
                 p.data -= self.lr * v
+                p.version += 1
 
 
 class Adam(_Optimizer):
@@ -145,6 +146,7 @@ class Adam(_Optimizer):
                 if self.weight_decay:
                     p.data -= self.lr * self.weight_decay * p.data
                 p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                p.version += 1
 
 
 class ConstantSchedule:

@@ -117,6 +117,7 @@ class DataParallelEngine:
         """Overwrite parameter storage in place (worker-side per step)."""
         for parameter, value in zip(self.parameters, arrays):
             parameter.data[...] = value
+            parameter.version += 1
 
     def _run_inline(self, shards: list[tuple[int, Any]]) -> list[_RawResult]:
         """Re-execute shards in the parent process (degraded fallback).

@@ -37,6 +37,7 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,22 +96,48 @@ def feature_fingerprint(features: TableFeatures) -> str:
     return digest.hexdigest()
 
 
+class _FingerprintMemo(NamedTuple):
+    key: tuple                        # name, config, (name, id, version)s
+    fingerprint: str
+    pinned: tuple                     # keeps every id in ``key`` alive
+
+
 def model_fingerprint(model: Module) -> str:
     """Hash of a model's identity: name, config, and every parameter.
 
     Any weight update (fine-tuning, loading a different bundle) changes
     the fingerprint, so cache entries written under the old weights can
     never be served again.
+
+    The digest is memoized on the model, keyed on the name, the config
+    object and each parameter's ``(name, id(data), version)``: rebinding
+    ``param.data`` changes the id, and every in-place writer bumps
+    :attr:`~repro.nn.Parameter.version`.  The memo holds the config and
+    the arrays it keyed on, so a freed array's id cannot come back as a
+    different array's while the memo still names it.
     """
-    digest = hashlib.sha256()
-    digest.update(getattr(model, "model_name", type(model).__name__).encode())
+    model_name = getattr(model, "model_name", type(model).__name__)
     config = getattr(model, "config", None)
+    params = list(model.named_parameters())
+    key = (model_name, id(config),
+           tuple((name, id(param.data), param.version)
+                 for name, param in params))
+    memo = getattr(model, "_fingerprint_memo", None)
+    if memo is not None and memo.key == key:
+        return memo.fingerprint
+    digest = hashlib.sha256()
+    digest.update(model_name.encode())
     if config is not None and hasattr(config, "to_dict"):
         digest.update(json.dumps(config.to_dict(), sort_keys=True).encode())
-    for name, param in model.named_parameters():
+    for name, param in params:
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(param.data).tobytes())
-    return digest.hexdigest()
+    fingerprint = digest.hexdigest()
+    # One attribute assignment, so a concurrent reader sees the old memo
+    # or the new one, never a mix.
+    model._fingerprint_memo = _FingerprintMemo(
+        key, fingerprint, (config, [param.data for _, param in params]))
+    return fingerprint
 
 
 class EncodingCache:  # thread-shared

@@ -208,10 +208,13 @@ class InferenceEngine:
         # One predict call per request: canonical per-example numerics
         # (see the module docstring's determinism contract).  Repeats
         # inside the wave still dedup through the encoding cache — the
-        # first occurrence misses and stores, the rest hit.
+        # first occurrence misses and stores, the rest hit.  One
+        # inference scope covers the whole wave; the predict, encode and
+        # cache scopes nested under it enter without a module walk.
         predictor = self.predictors[task]
-        predictions = [predictor.predict([r.example], batch_size=1)[0]
-                       for r in requests]
+        with predictor.inference():
+            predictions = [predictor.predict([r.example], batch_size=1)[0]
+                           for r in requests]
         finished = self.clock()
         registry.counter(f"{prefix}.batches").inc()
         registry.histogram(f"{prefix}.batch_size").observe(len(batch))

@@ -3,7 +3,9 @@
 The serving surface (``repro predict`` / ``repro serve``) speaks plain
 JSON.  Each request names a ``task`` and carries the task's inputs; the
 table rides along either inline (``{"header": [...], "rows": [[...]]}``)
-or as a CSV path (``{"csv": "path/to/table.csv"}``).  This module turns
+or, for local batch files only, as a CSV path
+(``{"csv": "path/to/table.csv"}``; the HTTP server refuses paths so a
+network client can never make it read a file).  This module turns
 those payloads into the typed example dataclasses the task predictors
 consume, and renders :class:`~repro.tasks.Prediction` labels back into
 JSON-safe values.
@@ -54,8 +56,25 @@ def _require(payload: dict[str, Any], field: str) -> Any:
     return payload[field]
 
 
-def parse_table(spec: Any) -> Table:
-    """Decode a request's table: inline header/rows dict or a CSV path."""
+def _require_int(payload: dict[str, Any], field: str) -> int:
+    value = _require(payload, field)
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise RequestError(f"field {field!r} must be an integer, "
+                           f"got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise RequestError(f"field {field!r} must be an integer, "
+                           f"got {value!r}") from error
+
+
+def parse_table(spec: Any, allow_paths: bool = True) -> Table:
+    """Decode a request's table: inline header/rows dict or a CSV path.
+
+    ``allow_paths=False`` refuses the path forms (a bare string or
+    ``{"csv": ...}``) before touching the file system.
+    """
     if isinstance(spec, Table):
         return spec
     if isinstance(spec, str):
@@ -63,6 +82,10 @@ def parse_table(spec: Any) -> Table:
     if not isinstance(spec, dict):
         raise RequestError("table must be an object or a CSV path string")
     if "csv" in spec:
+        if not allow_paths:
+            raise RequestError("table must be inline "
+                               "({\"header\": [...], \"rows\": [...]}); "
+                               "file paths are not accepted here")
         path = Path(spec["csv"])
         if not path.is_file():
             raise RequestError(f"table file not found: {path}")
@@ -78,32 +101,34 @@ def parse_table(spec: Any) -> Table:
     try:
         return Table(header, rows, context=context,
                      table_id=str(spec.get("table_id", "")))
-    except ValueError as error:
+    except (TypeError, ValueError) as error:   # e.g. a row that is a number
         raise RequestError(str(error)) from error
 
 
-def build_example(task: str, payload: dict[str, Any]) -> Any:
+def build_example(task: str, payload: dict[str, Any],
+                  allow_paths: bool = True) -> Any:
     """The typed example one request decodes to.
 
     ``retrieval`` needs no table (the corpus is engine state); every
-    other task requires ``payload["table"]``.
+    other task requires ``payload["table"]``, parsed by
+    :func:`parse_table` with ``allow_paths``.
     """
     if task == "retrieval":
         return RetrievalExample(query=str(_require(payload, "query")),
                                 positive_table_id="")
-    table = parse_table(_require(payload, "table"))
+    table = parse_table(_require(payload, "table"), allow_paths)
     if task == "qa":
         return QAExample(table, str(_require(payload, "question")), None, ())
     if task == "nli":
         return NLIExample(table, str(_require(payload, "statement")), 0)
     if task == "imputation":
-        row, column = int(_require(payload, "row")), int(_require(payload, "column"))
+        row, column = _require_int(payload, "row"), _require_int(payload, "column")
         if not (0 <= row < table.num_rows and 0 <= column < table.num_columns):
             raise RequestError(f"cell ({row}, {column}) outside table "
                                f"shape {table.shape}")
         return ImputationExample(table, row, column, "")
     if task == "coltype":
-        column = int(_require(payload, "column"))
+        column = _require_int(payload, "column")
         if not 0 <= column < table.num_columns:
             raise RequestError(f"column {column} outside table "
                                f"shape {table.shape}")

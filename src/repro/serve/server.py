@@ -56,6 +56,9 @@ from ..runtime import get_registry
 __all__ = ["ServerConfig", "run_server", "make_http_server",
            "make_server", "serve_forever"]
 
+#: Largest request body read; a longer Content-Length answers 400.
+MAX_BODY_BYTES = 16 * 2**20
+
 #: ticket error code → HTTP status.  Unlisted codes are server bugs.
 _ERROR_STATUS = {
     "bad_request": 400,
@@ -116,7 +119,10 @@ def _decode_body(body: Any) -> tuple[bool, list[tuple[str, Any]]]:
         task = item.get("task")
         if not isinstance(task, str):
             raise RequestError("request is missing required field 'task'")
-        submissions.append((task, build_example(task, item)))
+        # Tables arrive inline only: a path table would read a file on
+        # the server's disk on behalf of a network client.
+        submissions.append((task, build_example(task, item,
+                                                allow_paths=False)))
     return single, submissions
 
 
@@ -150,6 +156,11 @@ def make_http_server(engine: InferenceEngine,
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted socket (StreamRequestHandler.setup).
+        # _reply writes the headers and the body separately; with Nagle's
+        # algorithm on, a keep-alive reply's body waited for the client's
+        # delayed ACK of the headers, ~40 ms per reply.
+        disable_nagle_algorithm = True
 
         def log_message(self, format: str, *args: Any) -> None:
             # Request lines used to vanish here; now they flow through
@@ -174,6 +185,9 @@ def make_http_server(engine: InferenceEngine,
                 if successor:
                     self.send_header(
                         "Link", f'<{successor}>; rel="successor-version"')
+            if self.close_connection:
+                # Tell a keep-alive client not to send on this socket.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -203,11 +217,22 @@ def make_http_server(engine: InferenceEngine,
                 self._reply(404, _error_body(
                     "not_found", f"unknown path {self.path}", False))
                 return
-            length = int(self.headers.get("Content-Length", 0))
+            length = self._content_length()
+            if length is None:
+                # The body's extent is unknown, so the connection cannot
+                # be reused: whatever follows is not a request line.
+                self.close_connection = True
+                self._reply(400, _error_body(
+                    "bad_request", "Content-Length must be an integer "
+                    f"from 0 to {MAX_BODY_BYTES}", False),
+                    deprecated=legacy, successor="/v1/predict")
+                return
             try:
                 body = json.loads(self.rfile.read(length) or b"null")
                 single, submissions = _decode_body(body)
-            except (json.JSONDecodeError, RequestError) as error:
+            except (ValueError, RecursionError) as error:
+                # Malformed JSON or encoding (both ValueErrors), nesting
+                # too deep to decode, or a RequestError from decoding.
                 self._reply(400, _error_body("bad_request", str(error),
                                              False),
                             deprecated=legacy, successor="/v1/predict")
@@ -233,6 +258,15 @@ def make_http_server(engine: InferenceEngine,
                 # (each either a response or an error envelope).
                 self._reply(200, payloads, deprecated=legacy,
                             successor="/v1/predict")
+
+        def _content_length(self) -> int | None:
+            """The request's body length, or ``None`` when malformed."""
+            raw = self.headers.get("Content-Length", "0").strip()
+            # Plain ASCII digits only: no sign, no fraction, no "²".
+            if not (raw.isascii() and raw.isdigit()):
+                return None
+            length = int(raw)
+            return length if length <= MAX_BODY_BYTES else None
 
         @staticmethod
         def _await(ticket: ServeTicket) -> dict[str, Any]:

@@ -171,6 +171,7 @@ def _restore_snapshot(parameters, optimizer: Adam,
     arrays, optimizer_state = snapshot
     for param, saved in zip(parameters, arrays):
         param.data[...] = saved
+        param.version += 1
     optimizer.load_state_dict(optimizer_state)
 
 
