@@ -67,8 +67,7 @@ def test_serving_throughput(workload):
         qa.encoder.set_encoding_cache(None)
         return qa.predict(reqs, batch_size=8)
 
-    engine = InferenceEngine({"qa": qa},
-                             ServeConfig(max_batch=8, cache_entries=64))
+    engine = InferenceEngine({"qa": qa}, ServeConfig(cache_entries=64))
 
     def batched_cached(reqs):
         # single()/batched() detached the engine-installed cache; restore it.

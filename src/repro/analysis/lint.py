@@ -16,7 +16,7 @@ Rules — each guards a convention the rest of the codebase relies on:
   packages other tooling introspects.
 - **REPRO006** op math must go through the backend: inside ``nn/`` only
   the backend seam itself (``backend.py``, ``compile.py``, ``tensor.py``,
-  ``optim.py``) may do raw ``.data`` arithmetic, and the deprecated
+  ``optim.py``) may do raw ``.data`` arithmetic, and the removed
   ``Tensor._make`` constructor may not be called anywhere — both bypass
   the :mod:`repro.nn.backend` op registry, so compiled replay and any
   future non-numpy backend would silently disagree with eager mode.

@@ -17,8 +17,8 @@ re-exported here and stable:
   :func:`binding_signature`, :func:`plan_buffers`) — record one eager
   step, replay it without graph bookkeeping, bit-identically.
 
-``Tensor._make`` and raw ``.data`` arithmetic are implementation details
-of the backend seam; outside it they are deprecated (lint rule REPRO006).
+Raw ``.data`` arithmetic is an implementation detail of the backend
+seam; lint rule REPRO006 flags it outside the seam.
 """
 
 from .attention import MultiHeadAttention, causal_mask, padding_mask

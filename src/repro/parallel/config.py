@@ -154,5 +154,5 @@ class FixedClock:
 
 
 # Re-exported so callers can write ``clock=parallel.config.DEFAULT_CLOCK``
-# symmetric with serve.DynamicBatcher's injectable clock.
+# symmetric with serve.InferenceEngine's injectable clock.
 DEFAULT_CLOCK = time.perf_counter

@@ -52,6 +52,9 @@ __all__ = ["EncodingCache", "feature_fingerprint", "model_fingerprint",
 _FEATURE_FIELDS = ("token_ids", "positions", "row_ids", "column_ids",
                    "roles", "entity_ids", "numeric_features")
 
+#: Instrument namespace of the cache counters in the global registry.
+_METRICS_PREFIX = "serve.cache"
+
 
 def table_fingerprint(table: Table, context: str | None = None) -> str:
     """Content hash of one table plus its serialization context string.
@@ -147,18 +150,14 @@ class EncodingCache:  # thread-shared
     ----------
     max_entries:
         Entry budget; the least recently used entry is evicted past it.
-    metrics_prefix:
-        Instrument namespace in the global registry.
     """
 
     _encoder_tokens = itertools.count()
 
-    def __init__(self, max_entries: int = 128,
-                 metrics_prefix: str = "serve.cache") -> None:
+    def __init__(self, max_entries: int = 128) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.metrics_prefix = metrics_prefix
         self._entries: "OrderedDict[tuple[str, str], np.ndarray]" = OrderedDict()  # guarded-by: _lock
         self._feature_entries: "OrderedDict[tuple[int, str], tuple]" = \
             OrderedDict()  # guarded-by: _lock
@@ -193,7 +192,7 @@ class EncodingCache:  # thread-shared
     # ------------------------------------------------------------------
     def _count(self, what: str, amount: int = 1) -> None:
         if amount:
-            get_registry().counter(f"{self.metrics_prefix}.{what}").inc(amount)
+            get_registry().counter(f"{_METRICS_PREFIX}.{what}").inc(amount)
 
     def lookup(self, key: tuple[str, str]) -> np.ndarray | None:
         """Fetch an entry and mark it most recently used (no counters)."""

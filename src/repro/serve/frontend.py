@@ -28,7 +28,7 @@ The lifecycle stages and their exits:
   byte-identical on every replica (see ``repro.serve.engine``'s
   determinism contract).
 - **complete / recover** — replies resolve tickets; a replica that
-  dies, goes silent past ``heartbeat_timeout`` or blows the dispatch
+  dies, goes silent past ``_HEARTBEAT_TIMEOUT`` or blows the dispatch
   deadline is reaped and respawned (exponential backoff, bounded per
   slot), its wave re-enqueued at the front; past the respawn budget the
   slot retires and the pool *degrades*.  With no replicas left, waves
@@ -62,6 +62,14 @@ __all__ = ["FrontendConfig", "ServeTicket", "AdmissionQueue",
 #: detection latency, never correctness.
 _POLL_GRANULARITY = 0.02
 
+#: Seconds between a replica's liveness frames, and the silence after
+#: which the dispatcher reaps it as wedged.
+_HEARTBEAT_INTERVAL = 0.25
+_HEARTBEAT_TIMEOUT = 10.0
+
+#: Base of the exponential respawn backoff (``* 2**attempt`` seconds).
+_RESPAWN_BACKOFF = 0.05
+
 
 @dataclass(frozen=True)
 class FrontendConfig:
@@ -79,12 +87,8 @@ class FrontendConfig:
     max_queue: int = 64
     deadline_seconds: float = 0.0
     max_batch: int = 8
-    heartbeat_interval: float = 0.25
-    heartbeat_timeout: float = 10.0
     dispatch_deadline: float = 0.0
     max_respawns: int = 2
-    respawn_backoff: float = 0.05
-    metrics_prefix: str = "serve.frontend"
 
     def __post_init__(self) -> None:
         if self.replicas < 0:
@@ -303,7 +307,7 @@ class ReplicatedFrontend:  # thread-shared
             self._pool = WorkerPool(
                 self.config.replicas, self._serve_shard,
                 self._sync_noop,
-                heartbeat_interval=self.config.heartbeat_interval)
+                heartbeat_interval=_HEARTBEAT_INTERVAL)
         self._parent_pid = os.getpid()
         self._ids_lock = threading.Lock()
         self._next_id = 0  # guarded-by: _ids_lock
@@ -404,20 +408,20 @@ class ReplicatedFrontend:  # thread-shared
                     affinity_key(task, example), now, deadline_at))
                 self._next_id += 1
         registry = get_registry()
-        prefix = self.config.metrics_prefix
-        registry.counter(f"{prefix}.requests").inc(len(tickets))
+        registry.counter("serve.frontend.requests").inc(len(tickets))
         verdicts = self.queue.admit_many(tickets)
         for ticket, admitted in zip(tickets, verdicts):
             if admitted:
                 continue
-            registry.counter(f"{prefix}.shed").inc()
+            registry.counter("serve.frontend.shed").inc()
             registry.emit({"kind": "frontend", "action": "shed",
                            "id": ticket.request_id, "task": ticket.task,
                            "queue_depth": len(self.queue)})
             ticket.fail("overloaded",
                         f"admission queue full ({self.config.max_queue}); "
                         "retry with backoff", True)
-        registry.histogram(f"{prefix}.queue_depth").observe(len(self.queue))
+        registry.histogram("serve.frontend.queue_depth").observe(
+            len(self.queue))
         return tickets
 
     def process(self, submissions: list[tuple[str, Any]],
@@ -460,7 +464,6 @@ class ReplicatedFrontend:  # thread-shared
     def healthz(self) -> dict[str, Any]:
         """Liveness plus the gauges an operator pages on."""
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         live = self.live_replicas()
         configured = self.config.replicas
         fleet: dict[str, int] = {"entries": 0, "hits": 0, "misses": 0,
@@ -484,9 +487,9 @@ class ReplicatedFrontend:  # thread-shared
             "queue_depth": self.queue_depth,
             "max_queue": self.config.max_queue,
             "inflight_waves": inflight_waves,
-            "shed": int(registry.counter(f"{prefix}.shed").value),
+            "shed": int(registry.counter("serve.frontend.shed").value),
             "deadline_expired":
-                int(registry.counter(f"{prefix}.deadline_expired").value),
+                int(registry.counter("serve.frontend.deadline_expired").value),
             "cache": fleet,
         }
 
@@ -560,9 +563,8 @@ class ReplicatedFrontend:  # thread-shared
         if not tickets:
             return
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         for ticket in tickets:
-            registry.counter(f"{prefix}.deadline_expired").inc()
+            registry.counter("serve.frontend.deadline_expired").inc()
             registry.emit({"kind": "frontend", "action": "deadline_expired",
                            "id": ticket.request_id, "task": ticket.task,
                            "where": where})
@@ -607,7 +609,6 @@ class ReplicatedFrontend:  # thread-shared
             wave_id = self._wave_ids
             self._wave_ids += 1
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         try:
             # Pipe send stays outside _state_lock; only the dispatcher
             # sends, so registering the wave after the send is safe.
@@ -619,8 +620,8 @@ class ReplicatedFrontend:  # thread-shared
             return
         with self._state_lock:
             self._inflight[slot] = (wave_id, batch, time.monotonic())
-        registry.counter(f"{prefix}.dispatches").inc()
-        registry.histogram(f"{prefix}.wave_size").observe(len(batch))
+        registry.counter("serve.frontend.dispatches").inc()
+        registry.histogram("serve.frontend.wave_size").observe(len(batch))
 
     def _execute_inline(self, batch: list[ServeTicket]) -> None:
         """Serve a wave in the parent process (replicas=0 or fully degraded).
@@ -628,12 +629,11 @@ class ReplicatedFrontend:  # thread-shared
         Byte-identical to a replica serving it: same engine, same
         canonical per-example numerics.
         """
-        prefix = self.config.metrics_prefix
         registry = get_registry()
         if self._pool is not None:
-            registry.counter(f"{prefix}.fallbacks").inc()
-        registry.counter(f"{prefix}.dispatches").inc()
-        registry.histogram(f"{prefix}.wave_size").observe(len(batch))
+            registry.counter("serve.frontend.fallbacks").inc()
+        registry.counter("serve.frontend.dispatches").inc()
+        registry.histogram("serve.frontend.wave_size").observe(len(batch))
         payload = [(t.request_id, t.task, t.example) for t in batch]
         result, _stats = self._serve_shard(payload)
         self._complete_wave(batch, result, replica=-1)
@@ -687,9 +687,8 @@ class ReplicatedFrontend:  # thread-shared
             elif handle.deadline_at is not None and now > handle.deadline_at:
                 reason = (f"dispatch deadline ({config.dispatch_deadline:g}s)"
                           " exceeded")
-            elif (config.heartbeat_interval > 0
-                    and now - handle.last_seen > config.heartbeat_timeout):
-                reason = f"no heartbeat for {config.heartbeat_timeout:g}s"
+            elif now - handle.last_seen > _HEARTBEAT_TIMEOUT:
+                reason = f"no heartbeat for {_HEARTBEAT_TIMEOUT:g}s"
             if reason is not None:
                 self._recover_slot(slot, reason)
 
@@ -704,35 +703,32 @@ class ReplicatedFrontend:  # thread-shared
         self._fail_expired(expired, "recovering")
         survivors = [t for t in batch if not t.expired(now)]
         if survivors:
-            get_registry().counter(
-                f"{self.config.metrics_prefix}.redispatched").inc(
-                    len(survivors))
+            get_registry().counter("serve.frontend.redispatched").inc(
+                len(survivors))
             self.queue.requeue(survivors)
 
     def _handle_loss(self, slot: int, reason: str) -> None:
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         self._pool.reap(slot)
         with self._state_lock:
             self._replica_cache.pop(slot, None)
-        registry.counter(f"{prefix}.worker_deaths").inc()
+        registry.counter("serve.frontend.worker_deaths").inc()
         registry.emit({"kind": "frontend", "action": "worker_death",
                        "worker": slot, "reason": reason})
         attempts = self._respawn_attempts.get(slot, 0)
         if attempts < self.config.max_respawns:
             self._respawn_attempts[slot] = attempts + 1
-            backoff = self.config.respawn_backoff * (2 ** attempts)
-            if backoff > 0:
-                time.sleep(backoff)
+            backoff = _RESPAWN_BACKOFF * (2 ** attempts)
+            time.sleep(backoff)
             self._pool.respawn(slot)
-            registry.counter(f"{prefix}.respawns").inc()
+            registry.counter("serve.frontend.respawns").inc()
             registry.emit({"kind": "frontend", "action": "worker_respawn",
                            "worker": slot,
                            "reason": f"respawn {attempts + 1}/"
                                      f"{self.config.max_respawns} after "
                                      f"{backoff:g}s backoff"})
             return
-        registry.counter(f"{prefix}.degraded").inc()
+        registry.counter("serve.frontend.degraded").inc()
         registry.emit({"kind": "frontend", "action": "pool_degraded",
                        "worker": slot,
                        "reason": f"slot retired after {attempts} respawns; "
@@ -746,7 +742,6 @@ class ReplicatedFrontend:  # thread-shared
                 self._replica_cache[replica] = result["cache"]
         now = self.clock()
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         late = [ticket for ticket in batch if ticket.expired(now)]
         self._fail_expired(late, "in flight")
         for entry in result.get("responses", []):
@@ -758,7 +753,7 @@ class ReplicatedFrontend:  # thread-shared
                             False)
                 continue
             latency = max(0.0, now - ticket.arrived)
-            registry.timer(f"{prefix}.latency_seconds").observe(latency)
+            registry.timer("serve.frontend.latency_seconds").observe(latency)
             registry.emit({
                 "kind": "frontend", "action": "answered",
                 "id": ticket.request_id, "task": ticket.task,

@@ -2,8 +2,7 @@
 threaded server and the replicated front-end.
 
 One :class:`ServerConfig`-driven entry point — :func:`run_server` —
-replaces the old ``make_server``/``serve_forever`` pair (both remain as
-thin deprecated shims).  The wire surface is versioned:
+serves the versioned wire surface:
 
 - ``POST /v1/predict`` — JSON body ``{"task": ..., <task inputs>}`` or a
   JSON list of such objects (a client-side batch, admitted atomically so
@@ -12,9 +11,8 @@ thin deprecated shims).  The wire surface is versioned:
 - ``GET /v1/metrics`` — the registry's full instrument snapshot
   (counters, timers with p50/p99, histograms).
 
-Legacy unversioned paths (``/predict``, ``/healthz``, ``/metrics``)
-still answer identically but carry a ``Deprecation: true`` header and a
-``Link: …; rel="successor-version"`` pointer.
+Every other path, the unversioned ``/predict``, ``/healthz`` and
+``/metrics`` included, answers 404 ``not_found``.
 
 Every error is a structured envelope —
 ``{"error": {"code", "message", "retryable"}}`` — never an ad-hoc
@@ -43,7 +41,6 @@ must declare its guard; the lock-order hierarchy lives in
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -53,8 +50,7 @@ from .frontend import FrontendConfig, ReplicatedFrontend, ServeTicket
 from .requests import RequestError, build_example
 from ..runtime import get_registry
 
-__all__ = ["ServerConfig", "run_server", "make_http_server",
-           "make_server", "serve_forever"]
+__all__ = ["ServerConfig", "run_server", "make_http_server"]
 
 #: Largest request body read; a longer Content-Length answers 400.
 MAX_BODY_BYTES = 16 * 2**20
@@ -132,8 +128,10 @@ class _ServeHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address, handler, frontend: ReplicatedFrontend) -> None:
-        super().__init__(address, handler)
+        # Set before binding: a failed bind calls server_close() from
+        # inside super().__init__, and that must find the front-end.
         self.frontend = frontend
+        super().__init__(address, handler)
 
     def server_close(self) -> None:
         try:
@@ -173,47 +171,30 @@ def make_http_server(engine: InferenceEngine,
                                  "line": format % args})
 
         # -- plumbing ---------------------------------------------------
-        def _reply(self, status: int, payload: Any, *,
-                   deprecated: bool = False,
-                   successor: str | None = None) -> None:
+        def _reply(self, status: int, payload: Any) -> None:
             body = json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            if deprecated:
-                self.send_header("Deprecation", "true")
-                if successor:
-                    self.send_header(
-                        "Link", f'<{successor}>; rel="successor-version"')
             if self.close_connection:
                 # Tell a keep-alive client not to send on this socket.
                 self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
-        def _route(self, path: str) -> tuple[str | None, bool]:
-            """``(endpoint, legacy?)`` — legacy paths answer deprecated."""
-            if path.startswith("/v1/"):
-                return path[len("/v1"):], False
-            return path, True
-
         # -- GET --------------------------------------------------------
         def do_GET(self) -> None:
-            endpoint, legacy = self._route(self.path)
-            if endpoint == "/healthz":
-                self._reply(200, frontend.healthz(), deprecated=legacy,
-                            successor="/v1/healthz")
-            elif endpoint == "/metrics":
-                self._reply(200, get_registry().snapshot(),
-                            deprecated=legacy, successor="/v1/metrics")
+            if self.path == "/v1/healthz":
+                self._reply(200, frontend.healthz())
+            elif self.path == "/v1/metrics":
+                self._reply(200, get_registry().snapshot())
             else:
                 self._reply(404, _error_body(
                     "not_found", f"unknown path {self.path}", False))
 
         # -- POST -------------------------------------------------------
         def do_POST(self) -> None:
-            endpoint, legacy = self._route(self.path)
-            if endpoint != "/predict":
+            if self.path != "/v1/predict":
                 self._reply(404, _error_body(
                     "not_found", f"unknown path {self.path}", False))
                 return
@@ -224,8 +205,7 @@ def make_http_server(engine: InferenceEngine,
                 self.close_connection = True
                 self._reply(400, _error_body(
                     "bad_request", "Content-Length must be an integer "
-                    f"from 0 to {MAX_BODY_BYTES}", False),
-                    deprecated=legacy, successor="/v1/predict")
+                    f"from 0 to {MAX_BODY_BYTES}", False))
                 return
             try:
                 body = json.loads(self.rfile.read(length) or b"null")
@@ -234,16 +214,14 @@ def make_http_server(engine: InferenceEngine,
                 # Malformed JSON or encoding (both ValueErrors), nesting
                 # too deep to decode, or a RequestError from decoding.
                 self._reply(400, _error_body("bad_request", str(error),
-                                             False),
-                            deprecated=legacy, successor="/v1/predict")
+                                             False))
                 return
             frontend.start()
             try:
                 tickets = frontend.submit_many(submissions)
             except KeyError as error:
                 self._reply(400, _error_body("bad_request", str(error),
-                                             False),
-                            deprecated=legacy, successor="/v1/predict")
+                                             False))
                 return
             payloads = [self._await(ticket) for ticket in tickets]
             if single:
@@ -251,13 +229,11 @@ def make_http_server(engine: InferenceEngine,
                 status = 200
                 if "error" in payload:
                     status = _ERROR_STATUS.get(payload["error"]["code"], 500)
-                self._reply(status, payload, deprecated=legacy,
-                            successor="/v1/predict")
+                self._reply(status, payload)
             else:
                 # Client-side batches answer 200 with per-item payloads
                 # (each either a response or an error envelope).
-                self._reply(200, payloads, deprecated=legacy,
-                            successor="/v1/predict")
+                self._reply(200, payloads)
 
         def _content_length(self) -> int | None:
             """The request's body length, or ``None`` when malformed."""
@@ -302,28 +278,3 @@ def run_server(engine: InferenceEngine,
                 server.handle_request()
     finally:
         server.server_close()
-
-
-# ----------------------------------------------------------------------
-# Deprecated shims (the pre-v1 Python API)
-# ----------------------------------------------------------------------
-def make_server(engine: InferenceEngine, host: str = "127.0.0.1",
-                port: int = 8080) -> ThreadingHTTPServer:
-    """Deprecated: use ``run_server(engine, ServerConfig(...))``."""
-    warnings.warn(
-        "make_server is deprecated; use "
-        "repro.serve.run_server(engine, ServerConfig(host=..., port=...))",
-        DeprecationWarning, stacklevel=2)
-    return make_http_server(engine, ServerConfig(host=host, port=port))
-
-
-def serve_forever(engine: InferenceEngine, host: str = "127.0.0.1",
-                  port: int = 8080, max_requests: int | None = None) -> None:
-    """Deprecated: use ``run_server(engine, ServerConfig(...))``."""
-    warnings.warn(
-        "serve_forever is deprecated; use "
-        "repro.serve.run_server(engine, ServerConfig(host=..., port=..., "
-        "max_requests=...))",
-        DeprecationWarning, stacklevel=2)
-    run_server(engine, ServerConfig(host=host, port=port,
-                                    max_requests=max_requests))

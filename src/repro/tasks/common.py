@@ -17,7 +17,6 @@ confidence score, and free-form extras.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, runtime_checkable
 
@@ -95,13 +94,6 @@ def predict_in_batches(module, examples: list, batch_size: int,
             predictions.extend(predict_batch(examples[start:start + batch_size]))
     return predictions
 
-
-def deprecated_predict_alias(old_name: str) -> None:
-    """Warn that a pre-protocol inference method was called."""
-    warnings.warn(
-        f"{old_name} is deprecated; use predict(examples) -> list[Prediction] "
-        "and read .label from each prediction",
-        DeprecationWarning, stacklevel=3)
 
 # How many healthy steps between refreshes of the in-memory rollback
 # snapshot the health guard falls back to after a bad-step streak.

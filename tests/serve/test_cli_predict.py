@@ -1,6 +1,7 @@
 """End-to-end `repro predict` / `repro serve` through cli.main()."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -82,8 +83,8 @@ class TestServeEndpoints:
         import numpy as np
 
         from repro.cli import _load_corpus_dir, _resolve_model
-        from repro.serve import (InferenceEngine, ServeConfig,
-                                 build_predictor, make_server)
+        from repro.serve import (InferenceEngine, ServeConfig, ServerConfig,
+                                 build_predictor, make_http_server)
         from repro.serve.requests import SERVED_TASKS
 
         tables = _load_corpus_dir(str(corpus_dir))
@@ -92,7 +93,7 @@ class TestServeEndpoints:
         predictors = {task: build_predictor(task, model, tables, rng)
                       for task in SERVED_TASKS}
         engine = InferenceEngine(predictors, ServeConfig())
-        server = make_server(engine, "127.0.0.1", 0)
+        server = make_http_server(engine, ServerConfig(port=0))
         port = server.server_address[1]
 
         def call(path, payload=None):
@@ -110,26 +111,26 @@ class TestServeEndpoints:
                 worker.join()
 
         try:
-            status, health = call("/healthz")
+            status, health = call("/v1/healthz")
             assert status == 200 and health["status"] == "ok"
             assert set(health["tasks"]) == set(SERVED_TASKS)
 
             table = _inline_table(corpus_dir)
-            status, body = call("/predict", {"task": "nli", "table": table,
-                                             "statement": "hello"})
+            status, body = call("/v1/predict", {"task": "nli", "table": table,
+                                                "statement": "hello"})
             assert status == 200 and body["label"] in (0, 1)
 
-            status, body = call("/predict", [
+            status, body = call("/v1/predict", [
                 {"task": "qa", "table": table, "question": "q?"},
                 {"task": "qa", "table": table, "question": "q?"},
             ])
             assert status == 200 and len(body) == 2
             assert body[0]["batch_size"] == 2
 
-            status, body = call("/predict", {"task": "unknown"})
+            status, body = call("/v1/predict", {"task": "unknown"})
             assert status == 400 and "error" in body
 
-            status, metrics = call("/metrics")
+            status, metrics = call("/v1/metrics")
             names = {m.get("name") for m in metrics}
             assert "serve.requests" in names
         finally:
@@ -150,3 +151,27 @@ class TestServeOperatorErrors:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error:") and fragment in err
+
+    def test_busy_port_exits_2(self, corpus_dir, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", str(corpus_dir), "--model", "bert",
+                      "--port", str(port)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: cannot serve on "
+                              f"127.0.0.1:{port}:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_out_of_range_port_exits_2(self, corpus_dir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(corpus_dir), "--model", "bert",
+                  "--port", "70000"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: cannot serve on "
+                              "127.0.0.1:70000:")
+        assert err.count("\n") == 1

@@ -1,4 +1,4 @@
-"""InferenceEngine: dispatch, deadlines, telemetry, request decoding."""
+"""InferenceEngine: process, telemetry, request decoding."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.runtime import InMemorySink, MetricsRegistry, using_registry
 from repro.serve import (
     InferenceEngine,
     RequestError,
-    ServeConfig,
     build_example,
     build_predictor,
     json_safe_label,
@@ -19,15 +18,15 @@ from repro.sql import Aggregate, SelectQuery
 from repro.tasks import NliClassifier
 
 
-class FakeClock:
+class TickingClock:
+    """Advances one second per reading."""
+
     def __init__(self) -> None:
         self.now = 0.0
 
     def __call__(self) -> float:
+        self.now += 1.0
         return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 @pytest.fixture
@@ -40,44 +39,66 @@ def _example(tables, i=0, statement="a statement"):
 
 
 class TestDispatch:
-    def test_submit_unknown_task(self, nli):
+    def test_submit_unknown_task(self, nli, serve_tables, monkeypatch):
+        """An unknown task anywhere in the call fails it before any
+        prediction runs or any counter moves."""
+        predicted = []
+        monkeypatch.setattr(nli, "predict",
+                            lambda *args, **kw: predicted.append(args))
         engine = InferenceEngine({"nli": nli})
-        with pytest.raises(KeyError):
-            engine.submit("qa", object())
-
-    def test_poll_answers_due_batches_only(self, nli, serve_tables):
-        clock = FakeClock()
-        engine = InferenceEngine(
-            {"nli": nli}, ServeConfig(max_batch=2, max_wait_seconds=0.5),
-            clock=clock)
-        engine.submit("nli", _example(serve_tables))
-        assert engine.poll() == []                  # under deadline, under size
-        clock.advance(0.5)
-        responses = engine.poll()                   # deadline flush
-        assert len(responses) == 1
-        assert responses[0].latency_seconds == pytest.approx(0.5)
-        assert engine.queue_depth == 0
-
-    def test_size_flush_before_deadline(self, nli, serve_tables):
-        clock = FakeClock()
-        engine = InferenceEngine(
-            {"nli": nli}, ServeConfig(max_batch=2, max_wait_seconds=100.0),
-            clock=clock)
-        engine.submit("nli", _example(serve_tables, 0))
-        engine.submit("nli", _example(serve_tables, 1))
-        responses = engine.poll()
-        assert [r.batch_size for r in responses] == [2, 2]
+        registry = MetricsRegistry()
+        with using_registry(registry), pytest.raises(KeyError):
+            engine.process([("nli", _example(serve_tables)),
+                            ("qa", object())])
+        assert predicted == []
+        assert registry.snapshot() == []
+        # The failed call consumed no ids.
+        monkeypatch.undo()
+        assert engine.process([("nli", _example(serve_tables))]
+                              )[0].request_id == 0
 
     def test_process_preserves_submission_order(self, nli, serve_tables):
-        engine = InferenceEngine({"nli": nli}, ServeConfig(max_batch=4))
-        submissions = [("nli", _example(serve_tables, i % 3))
-                       for i in range(6)]
+        other = NliClassifier(nli.encoder, np.random.default_rng(1))
+        engine = InferenceEngine({"nli": nli, "other": other})
+        tasks = ["other", "nli", "nli", "other", "nli", "other"]
+        submissions = [(task, _example(serve_tables, i % 3))
+                       for i, task in enumerate(tasks)]
         responses = engine.process(submissions)
         assert [r.request_id for r in responses] == list(range(6))
-        assert all(r.task == "nli" for r in responses)
+        assert [r.task for r in responses] == tasks
+        # Ids stay monotonic across calls.
+        later = engine.process(submissions[:2])
+        assert [r.request_id for r in later] == [6, 7]
+
+    def test_batch_size_is_task_group_size(self, nli, serve_tables):
+        other = NliClassifier(nli.encoder, np.random.default_rng(1))
+        engine = InferenceEngine({"nli": nli, "other": other})
+        responses = engine.process([
+            ("nli", _example(serve_tables, 0)),
+            ("other", _example(serve_tables, 1)),
+            ("nli", _example(serve_tables, 2)),
+            ("nli", _example(serve_tables, 0)),
+        ])
+        assert [r.batch_size for r in responses] == [3, 1, 3, 3]
+
+    def test_answers_match_single_request_predict(self, nli, serve_tables):
+        examples = [_example(serve_tables, i % 4, f"claim {i % 3}")
+                    for i in range(9)]
+        expected = [nli.predict([e], batch_size=1)[0] for e in examples]
+        engine = InferenceEngine({"nli": nli})
+        responses = engine.process([("nli", e) for e in examples])
+        assert [(r.prediction.label, r.prediction.score)
+                for r in responses] == [(p.label, p.score) for p in expected]
+
+    def test_latency_runs_from_call_to_group_answer(self, nli,
+                                                    serve_tables):
+        engine = InferenceEngine({"nli": nli}, clock=TickingClock())
+        responses = engine.process([("nli", _example(serve_tables, i))
+                                    for i in range(2)])
+        assert [r.latency_seconds for r in responses] == [1.0, 1.0]
 
     def test_repeated_tables_hit_cache(self, nli, serve_tables):
-        engine = InferenceEngine({"nli": nli}, ServeConfig(max_batch=4))
+        engine = InferenceEngine({"nli": nli})
         example = _example(serve_tables)
         first = engine.process([("nli", example)])
         second = engine.process([("nli", example)])
@@ -92,16 +113,16 @@ class TestTelemetry:
         registry = MetricsRegistry()
         sink = registry.add_sink(InMemorySink())
         with using_registry(registry):
-            engine = InferenceEngine({"nli": nli}, ServeConfig(max_batch=2))
+            engine = InferenceEngine({"nli": nli})
             engine.process([("nli", _example(serve_tables, i))
                             for i in range(3)])
         snapshot = {s["name"]: s for s in registry.snapshot()
                     if s.get("metric")}
         assert snapshot["serve.requests"]["value"] == 3
-        assert snapshot["serve.batches"]["value"] == 2
-        assert snapshot["serve.batch_size"]["count"] == 2
-        assert snapshot["serve.batch_size"]["max"] == 2
-        assert snapshot["serve.queue_depth"]["count"] == 3
+        assert snapshot["serve.batches"]["value"] == 1
+        assert snapshot["serve.batch_size"]["count"] == 1
+        assert snapshot["serve.batch_size"]["max"] == 3
+        assert "serve.queue_depth" not in snapshot
         assert snapshot["serve.latency_seconds"]["count"] == 3
         traces = sink.of_kind("serve_request")
         assert len(traces) == 3

@@ -209,7 +209,17 @@ class TestOneScopePerWave:
     def test_engine_wave_walks_once(self, encoder, serve_tables,
                                     eval_calls):
         nli = NliClassifier(encoder, np.random.default_rng(0))
-        engine = InferenceEngine({"nli": nli}, ServeConfig(max_batch=4))
+        engine = InferenceEngine({"nli": nli}, ServeConfig())
         wave = [("nli", NLIExample(t, "s", 0)) for t in serve_tables[:3]]
         engine.process(wave)
         assert eval_calls == ["NliClassifier"]
+
+    def test_one_walk_per_task_group(self, encoder, serve_tables,
+                                     eval_calls):
+        nli = NliClassifier(encoder, np.random.default_rng(0))
+        other = NliClassifier(encoder, np.random.default_rng(1))
+        engine = InferenceEngine({"nli": nli, "other": other})
+        engine.process([(task, NLIExample(t, "s", 0))
+                        for task in ("nli", "other")
+                        for t in serve_tables[:3]][::-1])
+        assert eval_calls == ["NliClassifier", "NliClassifier"]

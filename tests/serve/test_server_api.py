@@ -1,6 +1,8 @@
-"""The /v1 HTTP surface: envelopes, deprecation headers, run_server."""
+"""The /v1 HTTP surface: envelopes, unversioned 404s, run_server."""
 
+import errno
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -15,9 +17,7 @@ from repro.serve import (
     ServeConfig,
     ServerConfig,
     make_http_server,
-    make_server,
     run_server,
-    serve_forever,
 )
 from repro.tasks import NliClassifier
 
@@ -173,27 +173,17 @@ class TestErrorEnvelope:
             server.server_close()
 
 
-class TestLegacyPaths:
+class TestUnversionedPaths:
     @pytest.mark.parametrize("path,payload", [
+        ("/predict", {"task": "nli"}),
         ("/healthz", None),
         ("/metrics", None),
     ])
-    def test_legacy_gets_answer_with_deprecation_header(self, client, path,
-                                                        payload):
-        status, headers, _ = client.call(path, payload)
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert "successor-version" in headers.get("Link", "")
-
-    def test_legacy_predict_deprecated_but_working(self, client,
-                                                   serve_tables):
-        status, headers, body = client.call(
-            "/predict", {"task": "nli",
-                         "table": _inline_table(serve_tables[0]),
-                         "statement": "hello"})
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert body["label"] in (0, 1)
+    def test_unversioned_paths_answer_404(self, client, path, payload):
+        status, headers, body = client.call(path, payload)
+        assert status == 404
+        assert body["error"]["code"] == "not_found"
+        assert "Deprecation" not in headers
 
 
 class TestVerboseLogging:
@@ -222,7 +212,6 @@ class TestVerboseLogging:
 
 class TestRunServerAndShims:
     def test_run_server_bounded_loop(self, engine, serve_tables):
-        import socket
         import time
 
         with socket.socket() as probe:
@@ -253,18 +242,16 @@ class TestRunServerAndShims:
         with pytest.raises(ValueError):
             ServerConfig(max_queue=0)
 
-    def test_make_server_shim_warns_and_works(self, engine):
-        with pytest.warns(DeprecationWarning, match="make_server"):
-            server = make_server(engine, "127.0.0.1", 0)
-        try:
-            status, _, health = _Client(server).call("/healthz")
-            assert status == 200 and health["status"] == "ok"
-        finally:
-            server.server_close()
-
-    def test_serve_forever_shim_warns(self, engine):
-        with pytest.warns(DeprecationWarning, match="serve_forever"):
-            serve_forever(engine, "127.0.0.1", 0, max_requests=0)
+    def test_bind_failure_raises_oserror(self, engine):
+        # A failed bind closes the server from inside its constructor;
+        # that close must find the front-end, not raise AttributeError.
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError) as excinfo:
+                make_http_server(engine, ServerConfig(port=port))
+        assert excinfo.value.errno == errno.EADDRINUSE
 
     def test_server_close_shuts_frontend(self, engine):
         server = make_http_server(engine, ServerConfig(port=0))
